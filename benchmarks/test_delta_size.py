@@ -12,13 +12,17 @@ The measurements are written as a JSON report
 (``benchmarks/reports/delta_size.json`` by default,
 ``DELTA_SIZE_REPORT`` overrides) which CI uploads as a workflow
 artifact, so the ratio's drift is visible across runs without
-rerunning anything.
+rerunning anything.  Each row also records the wall time of its one
+``diff_packed`` and one ``patch_packed`` call (``diff_ms``,
+``patch_ms``): single runs on whatever host ran the suite, for
+spotting drift between runs, not a gate.
 """
 
 import copy
 import json
 import math
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -59,8 +63,12 @@ def _measure(suite):
     for label, changed in [("1-class", 1),
                            ("10pct", max(1, math.floor(n * 0.10)))]:
         target = pack_archive(_mutate(classes, changed), options)
+        start = time.perf_counter()
         delta, summary = diff_packed(base, target, options)
+        diff_s = time.perf_counter() - start
+        start = time.perf_counter()
         patched, _ = patch_packed(base, delta)
+        patch_s = time.perf_counter() - start
         assert patched == target, (
             f"{suite}/{label}: patched bytes differ from fresh pack")
         rows.append({
@@ -68,6 +76,8 @@ def _measure(suite):
             "changed": summary.modified,
             "delta_bytes": len(delta), "full_bytes": len(target),
             "ratio": round(summary.ratio, 4),
+            "diff_ms": round(diff_s * 1000, 1),
+            "patch_ms": round(patch_s * 1000, 1),
         })
     return rows
 
@@ -90,9 +100,10 @@ def test_delta_is_fraction_of_full_pack(measurements):
     print_table(
         "Delta size vs. full pack (<= 10% of classes changed)",
         ["suite", "scenario", "classes", "changed", "delta", "full",
-         "ratio"],
+         "ratio", "diff ms", "patch ms"],
         [[r["suite"], r["scenario"], r["classes"], r["changed"],
-          r["delta_bytes"], r["full_bytes"], f"{r['ratio']:.1%}"]
+          r["delta_bytes"], r["full_bytes"], f"{r['ratio']:.1%}",
+          r["diff_ms"], r["patch_ms"]]
          for r in measurements])
     print(f"report written to {REPORT_PATH}")
     for row in measurements:

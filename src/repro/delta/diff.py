@@ -24,6 +24,14 @@ derive that without the changed classes, which the patcher does not
 have yet.  Objects that appear only in changed classes simply fall
 back to the schemes' singleton/new-object paths, exactly as a
 first-occurrence does in a full archive.
+
+The differ encodes once: the prefix, then — on the same coders and
+streams — the changed classes, recording every stream's length in
+between.  Every phase runs through the class-sequence entry points of
+:mod:`repro.pack.codec_core`, so it takes the compiled codec unless
+``codec_backend`` asks for the interpreted oracle.  That the recorded
+lengths mark exactly where a standalone prefix encode ends is pinned
+by the lockstep tests, not re-checked per diff.
 """
 
 from __future__ import annotations
@@ -36,13 +44,17 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..coding.streams import StreamSet
-from ..errors import PackError
 from ..ir import model as ir
 from ..observe import recorder as observe
 from ..pack import codec_core, wire
 from ..pack.decompressor import Decompressor
-from ..pack.options import PackOptions
-from .manifest import HASH_PREFIX_BYTES, archive_manifest, manifest_index
+from ..pack.options import EXECUTION_ONLY_FIELDS, PackOptions
+from .manifest import (
+    HASH_PREFIX_BYTES,
+    Manifest,
+    archive_manifest,
+    manifest_index,
+)
 
 #: Per-target-class operations in the ``delta.ops`` stream.
 OP_UNCHANGED = 0
@@ -89,39 +101,35 @@ def prefix_counts(prefix: Sequence[ir.ClassDefinition],
 
         for space, values in preload_objects(ir.Interner()).items():
             seen[space].update(values)
-    driver = codec_core.CountDriver(options, seen=seen)
-    for definition in prefix:
-        codec_core.class_definition(driver, definition)
-    return driver.counts
+    return codec_core.count_classes(prefix, options, seen=seen)
 
 
-def encode_class_sequence(classes: Sequence[ir.ClassDefinition],
-                          options: PackOptions,
-                          counts: Dict[str, Dict]) -> StreamSet:
-    """Encode ``classes`` back to back with fresh coders fed the
-    prefix-only frequency tables.  Deterministic: same inputs, same
-    stream bytes — the property prefix replay rests on."""
+def replay_coders(options: PackOptions, counts: Dict[str, Dict],
+                  interner: Optional[ir.Interner] = None) -> Dict:
+    """Fresh coders for one replay pass, preloaded as the full codec
+    preloads them (into ``interner`` when decoding) and fed the
+    prefix-only frequency tables.  Same inputs, same coder states —
+    the property prefix replay rests on."""
     coders = codec_core.make_space_coders(options)
     if options.preload:
         from ..pack.preload import preload_coders
 
-        preload_coders(coders, ir.Interner())
+        preload_coders(coders, interner if interner is not None
+                       else ir.Interner())
     for space, coder in coders.items():
         if coder.needs_frequencies:
             coder.set_frequencies(counts[space])
-    streams = StreamSet()
-    driver = codec_core.EncodeDriver(options, coders, streams)
-    for definition in classes:
-        codec_core.class_definition(driver, definition)
-    return streams
+    return coders
 
 
 # -- classification -----------------------------------------------------
 
 
-def classify(base: ir.Archive, target: ir.Archive
+def classify(base: Manifest, target: Manifest
              ) -> Tuple[List[Tuple[int, Optional[int]]], DeltaSummary]:
-    """Pair every target class with its base counterpart.
+    """Pair every target class with its base counterpart, given the
+    two archives' manifests (:func:`~repro.delta.manifest.
+    archive_manifest`).
 
     Returns ``(plan, partial summary)`` where ``plan`` holds one
     ``(op, base_index)`` per target class (``base_index`` is ``None``
@@ -132,7 +140,7 @@ def classify(base: ir.Archive, target: ir.Archive
     cursor: Dict[str, int] = {name: 0 for name in base_index}
     plan: List[Tuple[int, Optional[int]]] = []
     unchanged = modified = added = 0
-    for name, fingerprint in archive_manifest(target):
+    for name, fingerprint in target:
         entries = base_index.get(name)
         position = cursor.get(name, 0)
         if entries is None or position >= len(entries):
@@ -147,10 +155,10 @@ def classify(base: ir.Archive, target: ir.Archive
         else:
             plan.append((OP_MODIFIED, index))
             modified += 1
-    removed = len(base.classes) - unchanged - modified
+    removed = len(base) - unchanged - modified
     summary = DeltaSummary(
-        base_classes=len(base.classes),
-        target_classes=len(target.classes),
+        base_classes=len(base),
+        target_classes=len(target),
         unchanged=unchanged, modified=modified, added=added,
         removed=removed, delta_bytes=0, target_pack_bytes=0)
     return plan, summary
@@ -161,8 +169,12 @@ def classify(base: ir.Archive, target: ir.Archive
 
 def _canonical_options(options: PackOptions) -> bytes:
     """The pack options as canonical JSON; the container is
-    self-describing so ``repro patch`` needs no flags."""
-    return json.dumps(asdict(options), sort_keys=True,
+    self-describing so ``repro patch`` needs no flags.  Execution-only
+    fields stay out: the same two archives give the same delta bytes
+    whichever backend or memory budget computed them."""
+    fields = {name: value for name, value in asdict(options).items()
+              if name not in EXECUTION_ONLY_FIELDS}
+    return json.dumps(fields, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
 
 
@@ -177,15 +189,24 @@ def diff_archives(base: ir.Archive, target: ir.Archive,
     byte strings the archives came from; the patcher refuses a wrong
     base and verifies its final output against the target digest.
     """
-    plan, summary = classify(base, target)
+    recorder = observe.current()
+    with recorder.span("delta.manifest",
+                       classes=len(base.classes) + len(target.classes)):
+        target_manifest = archive_manifest(target)
+        plan, summary = classify(archive_manifest(base), target_manifest)
     prefix = [base.classes[index] for op, index in plan
               if op == OP_UNCHANGED]
     changed = [target.classes[position]
                for position, (op, _) in enumerate(plan)
                if op != OP_UNCHANGED]
-    counts = prefix_counts(prefix, options)
-    full = encode_class_sequence(list(prefix) + changed, options, counts)
-    head = encode_class_sequence(prefix, options, counts)
+    with recorder.span("count", classes=len(prefix)):
+        counts = prefix_counts(prefix, options)
+    with recorder.span("encode", classes=len(target.classes)):
+        coders = replay_coders(options, counts)
+        encoded = StreamSet()
+        codec_core.encode_classes(prefix, options, coders, encoded)
+        head = encoded.raw_sizes()
+        codec_core.encode_classes(changed, options, coders, encoded)
 
     streams = StreamSet()
     meta = streams.stream(wire.DELTA_META)
@@ -203,23 +224,21 @@ def diff_archives(base: ir.Archive, target: ir.Archive,
         ops.u8(op)
         if index is not None:
             indices.uvarint(index)
-    for _, fingerprint in archive_manifest(target):
+    for _, fingerprint in target_manifest:
         hashes.raw(fingerprint[:HASH_PREFIX_BYTES])
-    for name in full.names():
-        payload = full.stream(name).getvalue()
-        head_len = len(head.stream(name).getvalue())
-        if payload[:head_len] != head.stream(name).getvalue():
-            raise PackError(  # pragma: no cover - structural invariant
-                f"prefix replay diverged on stream {name!r}")
-        if len(payload) > head_len:
-            streams.stream(name).raw(payload[head_len:])
+    for name in encoded.names():
+        payload = encoded.stream(name).getvalue()
+        start = head.get(name, 0)
+        if len(payload) > start:
+            streams.stream(name).raw(payload[start:])
 
     header = bytearray(struct.pack(">I", wire.MAGIC))
     header.append(wire.DELTA_VERSION)
     compress = options.compress if compress is None else compress
     header.append(1 if compress else 0)
-    payload = streams.serialize(compress=compress,
-                                level=options.zlib_level)
+    with recorder.span("serialize"):
+        payload = streams.serialize(compress=compress,
+                                    level=options.zlib_level)
     return bytes(header) + payload, summary
 
 

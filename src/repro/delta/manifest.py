@@ -2,14 +2,17 @@
 
 A class's *fingerprint* is the SHA-256 of its canonical codec-core
 encoding: the class is run through the version-1 class codec
-(:func:`repro.pack.codec_core.class_definition`) with a fixed,
+(:func:`repro.pack.codec_core.encode_classes`) with a fixed,
 archive-independent configuration — fresh ``basic``-scheme coders, no
 stack-state collapsing, no preloading — and the resulting streams are
-hashed in sorted name order.  Because the fingerprint and the wire
-encoding execute the *same* spec tree, they cannot diverge: any bit of
-class content the archive codec serializes is, by construction, part
-of the hash, and anything it regenerates (and therefore never sends)
-is excluded from both.
+hashed in sorted name order.  The encode takes the compiled codec
+(``HASH_OPTIONS`` keeps the default backend); the bytes it hashes are
+the interpreted walk's, which ``tests/test_delta.py`` checks class by
+class.  Because the fingerprint and the wire encoding execute the
+*same* spec tree, they cannot diverge: any bit of class content the
+archive codec serializes is, by construction, part of the hash, and
+anything it regenerates (and therefore never sends) is excluded from
+both.
 
 Fresh coders per class make the fingerprint a pure function of the
 class definition — independent of where the class sits in an archive
@@ -33,6 +36,9 @@ from ..ir import model as ir
 from ..pack import codec_core
 from ..pack.options import PackOptions
 
+#: ``(internal class name, fingerprint)`` per class, in archive order.
+Manifest = List[Tuple[str, bytes]]
+
 #: The canonical encoding configuration the fingerprint is defined
 #: over.  This is wire-format data: changing it orphans every
 #: previously issued delta, so it is pinned independently of the
@@ -47,10 +53,10 @@ HASH_PREFIX_BYTES = 12
 
 def class_fingerprint(definition: ir.ClassDefinition) -> bytes:
     """The full 32-byte SHA-256 fingerprint of one class definition."""
-    coders = codec_core.make_space_coders(HASH_OPTIONS)
     streams = StreamSet()
-    driver = codec_core.EncodeDriver(HASH_OPTIONS, coders, streams)
-    codec_core.class_definition(driver, definition)
+    codec_core.encode_classes(
+        [definition], HASH_OPTIONS,
+        codec_core.make_space_coders(HASH_OPTIONS), streams)
     digest = hashlib.sha256()
     for name in sorted(streams.names()):
         payload = streams.stream(name).getvalue()
@@ -60,7 +66,7 @@ def class_fingerprint(definition: ir.ClassDefinition) -> bytes:
     return digest.digest()
 
 
-def archive_manifest(archive: ir.Archive) -> List[Tuple[str, bytes]]:
+def archive_manifest(archive: ir.Archive) -> Manifest:
     """``(internal class name, fingerprint)`` per class, in archive
     order."""
     return [(definition.this_class.internal_name,
@@ -68,7 +74,7 @@ def archive_manifest(archive: ir.Archive) -> List[Tuple[str, bytes]]:
             for definition in archive.classes]
 
 
-def manifest_index(archive: ir.Archive
+def manifest_index(manifest: Manifest
                    ) -> Dict[str, List[Tuple[int, bytes]]]:
     """Name -> ``[(archive index, fingerprint), ...]`` in order.
 
@@ -77,7 +83,6 @@ def manifest_index(archive: ir.Archive
     occurrences pair up positionally.
     """
     index: Dict[str, List[Tuple[int, bytes]]] = {}
-    for position, (name, fingerprint) in \
-            enumerate(archive_manifest(archive)):
+    for position, (name, fingerprint) in enumerate(manifest):
         index.setdefault(name, []).append((position, fingerprint))
     return index

@@ -4,11 +4,12 @@ The patcher mirrors :mod:`repro.delta.diff` exactly: it rebuilds the
 shared prefix from the base archive it holds, re-encodes it locally
 (prefix replay is deterministic), stitches the container's per-stream
 suffixes onto the locally produced prefix bytes, and decodes the
-whole class sequence with the ordinary codec.  The result is
-verified twice — per-class manifest fingerprints, then the SHA-256 of
-the repacked archive against the digest the differ recorded — before
-anything is returned, so a wrong base or a corrupt delta can never
-yield a silently wrong archive.
+whole class sequence with the ordinary codec — the class-sequence
+entry points of :mod:`repro.pack.codec_core`, as the differ uses.
+The result is verified twice — per-class manifest fingerprints, then
+the SHA-256 of the repacked archive against the digest the differ
+recorded — before anything is returned, so a wrong base or a corrupt
+delta can never yield a silently wrong archive.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import struct
 import time
 from typing import List, Tuple
 
-from ..coding.streams import StreamReader, concat_streams
+from ..coding.streams import StreamReader, StreamSet, concat_streams
 from ..errors import CORRUPTION_ERRORS, JobInputError, ReproError, \
     UnpackError
 from ..ir import model as ir
@@ -34,8 +35,8 @@ from .diff import (
     OP_MODIFIED,
     OP_UNCHANGED,
     DeltaSummary,
-    encode_class_sequence,
     prefix_counts,
+    replay_coders,
 )
 from .manifest import HASH_PREFIX_BYTES
 from .verify import verify_classes, verify_packed_sha
@@ -128,7 +129,8 @@ def patch_packed(base_packed: bytes, delta: bytes
     a malformed delta.
     """
     start = time.perf_counter()
-    with observe.current().span("delta.patch"):
+    recorder = observe.current()
+    with recorder.span("delta.patch"):
         try:
             reader, meta = open_delta(delta)
         except ReproError:
@@ -153,24 +155,21 @@ def patch_packed(base_packed: bytes, delta: bytes
                       if op == OP_UNCHANGED]
             changed_count = sum(1 for op, _ in plan
                                 if op != OP_UNCHANGED)
-            counts = prefix_counts(prefix, options)
-            head = encode_class_sequence(prefix, options, counts)
-            stitched = StreamReader(_stitch(head, reader),
-                                    compressed=False)
-            coders = codec_core.make_space_coders(options)
-            interner = ir.Interner()
-            if options.preload:
-                from ..pack.preload import preload_coders
-
-                preload_coders(coders, interner)
-            for space, coder in coders.items():
-                if coder.needs_frequencies:
-                    coder.set_frequencies(counts[space])
-            driver = codec_core.DecodeDriver(options, coders, stitched,
-                                             interner)
-            decoded = [codec_core.class_definition(driver,
-                                                   codec_core.DECODE)
-                       for _ in range(len(prefix) + changed_count)]
+            with recorder.span("count", classes=len(prefix)):
+                counts = prefix_counts(prefix, options)
+            with recorder.span("encode", classes=len(prefix)):
+                head = StreamSet()
+                codec_core.encode_classes(
+                    prefix, options, replay_coders(options, counts),
+                    head)
+            with recorder.span("decode", classes=len(plan)):
+                stitched = StreamReader(_stitch(head, reader),
+                                        compressed=False)
+                interner = ir.Interner()
+                decoded = codec_core.decode_classes(
+                    len(prefix) + changed_count, options,
+                    replay_coders(options, counts, interner), stitched,
+                    interner)
             classes: List[ir.ClassDefinition] = []
             unchanged_cursor, changed_cursor = 0, len(prefix)
             for op, _ in plan:
@@ -185,11 +184,13 @@ def patch_packed(base_packed: bytes, delta: bytes
         except CORRUPTION_ERRORS as exc:
             raise UnpackError(
                 f"corrupt delta container: {exc}") from exc
-        verify_classes(classes, meta["hash_prefixes"])
-        target_packed, _ = pack_archive_ir(ir.Archive(classes=classes),
-                                           options)
-        verify_packed_sha(target_packed, meta["target_sha"],
-                          "patched archive")
+        with recorder.span("verify"):
+            with recorder.span("delta.manifest", classes=len(classes)):
+                verify_classes(classes, meta["hash_prefixes"])
+            target_packed, _ = pack_archive_ir(
+                ir.Archive(classes=classes), options)
+            verify_packed_sha(target_packed, meta["target_sha"],
+                              "patched archive")
     summary = DeltaSummary(
         base_classes=meta["base_count"],
         target_classes=meta["target_count"],
@@ -199,7 +200,7 @@ def patch_packed(base_packed: bytes, delta: bytes
         removed=meta["base_count"]
         - sum(1 for op, _ in plan if op != OP_ADDED),
         delta_bytes=len(delta), target_pack_bytes=len(target_packed))
-    metrics = observe.current().metrics
+    metrics = recorder.metrics
     if metrics is not None:
         metrics.count("delta.patches")
         metrics.observe("delta.patch_ms",

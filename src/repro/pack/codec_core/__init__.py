@@ -13,6 +13,14 @@ operand, string — is described exactly once, as a codec spec
 * **encode** — :func:`encode_archive` writes the streams;
 * **decode** — :func:`decode_archive` reconstructs the IR.
 
+Each archive entry point wraps a class-sequence one —
+:func:`count_classes`, :func:`encode_classes`, :func:`decode_classes`
+— that runs a bare run of classes (no class count on the wire) on
+coders and streams the caller owns; the archive adds the META class
+count.  :mod:`repro.delta` works on sequences: its prefix replay
+encodes the unchanged classes, then the changed ones, on the same
+coders.
+
 Because all three modes execute the same spec, the encoder and decoder
 traversals — and with them the reference-coder state machines the
 paper's format depends on — agree by construction.
@@ -33,7 +41,7 @@ Two execution backends run the spec
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ...coding.streams import SizingStreamSet, StreamReader, StreamSet
 from ...ir import model as ir
@@ -81,10 +89,13 @@ __all__ = [
     "WireSpec",
     "class_definition",
     "compiled_codec",
+    "count_classes",
     "count_references",
     "current_spec",
     "decode_archive",
+    "decode_classes",
     "encode_archive",
+    "encode_classes",
     "ir_instruction_size",
     "iter_decode_archive",
     "make_fast_mtf_coder",
@@ -214,12 +225,23 @@ def decode_archive(options: PackOptions, coders,
         return spec.archive(drv, DECODE)
 
 
-def _iter_decode_interpreted(options: PackOptions, coders,
-                             reader: StreamReader, interner):
+def _iter_decode_interpreted(count: Optional[int], options: PackOptions,
+                             coders, reader: StreamReader, interner):
     drv = DecodeDriver(options, coders, reader, interner)
-    count = drv.uint(wire.META, DECODE)
+    if count is None:
+        count = drv.uint(wire.META, DECODE)
     for _ in range(count):
         yield class_definition(drv, DECODE)
+
+
+def _iter_decode(count: Optional[int], options: PackOptions, coders,
+                 reader: StreamReader, interner, spec: WireSpec):
+    codec = _compiled_for(options, None, spec)
+    if codec is not None:
+        return codec.iter_decode_classes(count, options, coders, reader,
+                                         interner)
+    return _iter_decode_interpreted(count, options, coders, reader,
+                                    interner)
 
 
 def iter_decode_archive(options: PackOptions, coders,
@@ -235,11 +257,50 @@ def iter_decode_archive(options: PackOptions, coders,
     iterator, trading memory for correctness.
     """
     spec = spec or current_spec()
-    codec = _compiled_for(options, None, spec)
+    if spec.archive is not archive_mod.archive:
+        return iter(decode_archive(options, coders, reader, interner,
+                                   spec=spec).classes)
+    return _iter_decode(None, options, coders, reader, interner, spec)
+
+
+# -- class sequences ----------------------------------------------------
+#
+# The archive walk minus its class count, on coders and streams the
+# caller owns.  Span-free: the caller owns phase accounting (a delta
+# replays one sequence in two encode calls).  Dispatch follows
+# ``options.codec_backend`` exactly as the archive entry points do, so
+# the interpreted walk stays the oracle for both.
+
+
+def count_classes(classes: Sequence[ir.ClassDefinition],
+                  options: PackOptions,
+                  seen: Optional[Dict[str, Set]] = None,
+                  ) -> Dict[str, Dict[Tuple[str, Hashable], int]]:
+    """Per-space ``(kind, key)`` reference totals over ``classes``;
+    ``seen`` pre-seeds the first-occurrence sets (and is updated)."""
+    codec = _compiled_for(options, None, current_spec())
     if codec is not None:
-        return codec.iter_decode(options, coders, reader, interner)
-    if spec.archive is archive_mod.archive:
-        return _iter_decode_interpreted(options, coders, reader,
-                                        interner)
-    return iter(decode_archive(options, coders, reader, interner,
-                               spec=spec).classes)
+        return codec.count_classes(classes, options, seen=seen)
+    drv = CountDriver(options, seen=seen)
+    archive_mod.class_sequence(drv, classes, len(classes))
+    return drv.counts
+
+
+def encode_classes(classes: Sequence[ir.ClassDefinition],
+                   options: PackOptions, coders,
+                   streams: StreamSet) -> None:
+    """Append ``classes`` to ``streams``, advancing ``coders``."""
+    codec = _compiled_for(options, None, current_spec())
+    if codec is not None:
+        codec.encode_classes(classes, options, coders, streams)
+        return
+    drv = EncodeDriver(options, coders, streams)
+    archive_mod.class_sequence(drv, classes, len(classes))
+
+
+def decode_classes(count: int, options: PackOptions, coders,
+                   reader: StreamReader, interner
+                   ) -> List[ir.ClassDefinition]:
+    """Read ``count`` classes off ``reader``."""
+    return list(_iter_decode(count, options, coders, reader, interner,
+                             current_spec()))

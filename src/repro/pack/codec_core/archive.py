@@ -89,20 +89,32 @@ def class_definition(drv, value):
     return value
 
 
-def archive(drv, value):
-    """The whole archive: a class count on META, then each class.
+def class_sequence(drv, value, count):
+    """``count`` classes back to back, with no count on the wire:
+    ``value`` is the class list, or ``DECODE``.  The archive's body,
+    and on its own the unit :mod:`repro.delta` replays.
 
     ``drv.class_boundary(i)`` fires after each class — a no-op on
     every driver except the layout sizing sub-pass, which snapshots
     per-stream offsets there (see :mod:`repro.pack.spool`).
     """
-    count = drv.uint(wire.META,
-                     DECODE if value is DECODE else len(value.classes))
+    decoding = value is DECODE
     classes = []
     for i in range(count):
         classes.append(class_definition(
-            drv, DECODE if value is DECODE else value.classes[i]))
+            drv, DECODE if decoding else value[i]))
         drv.class_boundary(i)
-    if value is DECODE:
+    return classes
+
+
+def archive(drv, value):
+    """The whole archive: a class count on META, then the class
+    sequence."""
+    decoding = value is DECODE
+    count = drv.uint(wire.META,
+                     DECODE if decoding else len(value.classes))
+    classes = class_sequence(drv, DECODE if decoding else value.classes,
+                             count)
+    if decoding:
         return ir.Archive(classes)
     return value

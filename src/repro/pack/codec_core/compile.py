@@ -591,8 +591,8 @@ def _instruction_advance(plan: _Plan, ins, offset: int) -> int:
 # ---------------------------------------------------------------------
 
 
-def _count_archive(archive, options, seen=None):
-    """Reference-frequency census, specialized.
+def _count_classes(classes, options, seen=None):
+    """Reference-frequency census over a class sequence, specialized.
 
     Mirrors the interpreted walk's visit order and first-visit gating
     exactly (so ``seen`` carry-over from preloads behaves the same),
@@ -689,7 +689,7 @@ def _count_archive(archive, options, seen=None):
     unknown = 0
     plans = _PLANS
 
-    for class_def in archive.classes:
+    for class_def in classes:
         cnt_class(class_def.this_class)
         if class_def.access_flags & ir.FLAG_HAS_SUPER:
             cnt_class(class_def.super_class)
@@ -774,9 +774,11 @@ _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 
 
-def _encode_archive(archive, options, coders, streams, metrics=None,
+def _encode_classes(classes, options, coders, streams, metrics=None,
                     layout=None):
-    """Write the archive to ``streams``, specialized.
+    """Write a class sequence to ``streams``, specialized: the
+    interpreted :func:`~repro.pack.codec_core.archive.class_sequence`
+    walk, with no class count on the wire.
 
     Byte-identity depends on two invariants beyond value equality:
     streams must be *created* in the interpreted walk's order (stream
@@ -784,7 +786,9 @@ def _encode_archive(archive, options, coders, streams, metrics=None,
     call must happen at the same walk position (reference-coder state
     is order-sensitive).  Both follow from mirroring the interpreted
     traversal statement by statement; only the per-value plumbing is
-    inlined away.
+    inlined away.  Coders and streams belong to the caller, so two
+    calls on the same pair write exactly what one call over the
+    concatenated sequence writes.
 
     With a ``layout``, per-stream offsets are snapshotted after every
     class — the sizing sub-pass runs this same walk against a
@@ -1026,11 +1030,12 @@ def _encode_archive(archive, options, coders, streams, metrics=None,
                 _apply_state(tracker, plan, ins, offset)
             offset = _instruction_advance(plan, ins, offset)
 
-    meta = buf(wire.META)
-    classes = archive.classes
-    w_uv(meta, len(classes))
     for class_def in classes:
         enc_class(class_def.this_class)
+        # META is fetched after the class ref, as the interpreted walk
+        # first touches it: a sequence that starts a fresh stream set
+        # must create its streams in the same order.
+        meta = buf(wire.META)
         flags = class_def.access_flags
         w_uv(meta, flags)
         if flags & ir.FLAG_HAS_SUPER:
@@ -1082,8 +1087,9 @@ def _encode_archive(archive, options, coders, streams, metrics=None,
 # ---------------------------------------------------------------------
 
 
-def _iter_decode_archive(options, coders, reader, interner):
-    """Yield decoded classes one at a time, specialized.
+def _iter_decode_classes(options, coders, reader, interner, count=None):
+    """Yield ``count`` decoded classes one at a time, specialized; with
+    ``count=None``, an archive's: its class count comes off META first.
 
     Varint-only streams are prescanned in one pass each
     (:func:`decode_uvarints`), so the per-value hot path is a list
@@ -1502,7 +1508,7 @@ def _iter_decode_archive(options, coders, reader, interner):
             instructions.append(ins)
         return ir.IRCode(max_stack, max_locals, instructions, handlers)
 
-    for _ in range(meta()):
+    for _ in range(meta() if count is None else count):
         this_class = dec_class()
         flags = meta()
         super_class = dec_class() if flags & ir.FLAG_HAS_SUPER else None
@@ -1541,24 +1547,31 @@ def _iter_decode_archive(options, coders, reader, interner):
             mx.count("stack_state.unknown", unknown)
 
 
-def _decode_archive(options, coders, reader, interner):
-    """Rebuild the whole archive from ``reader``, specialized."""
-    return ir.Archive(list(_iter_decode_archive(options, coders,
-                                                reader, interner)))
-
-
 # ---------------------------------------------------------------------
 # The codec façade and the spec-compilation registry hook
 # ---------------------------------------------------------------------
 
 
+def _encode_archive(archive, options, coders, streams, metrics=None,
+                    layout=None):
+    """The archive: its class count on META, then the class sequence."""
+    streams.stream(wire.META).uvarint(len(archive.classes))
+    _encode_classes(archive.classes, options, coders, streams,
+                    metrics=metrics, layout=layout)
+
+
 class CompiledCodec:
-    """Specialized count/encode/decode entry points for one
+    """Specialized entry points for one
     :class:`~repro.pack.codec_core.registry.WireSpec`.
 
-    Spans and top-level metrics match the interpreted entry points in
-    :mod:`repro.pack.codec_core` exactly, so traces keep their shape
-    regardless of backend.
+    The class-sequence entry points (``count_classes``,
+    ``encode_classes``, ``iter_decode_classes``) run a bare run of
+    classes on coders and streams the caller owns — no class count on
+    the wire and no spans, so the caller owns phase accounting.  The
+    archive entry points wrap them with the META class count, and
+    their spans and top-level metrics match the interpreted entry
+    points in :mod:`repro.pack.codec_core` exactly, so traces keep
+    their shape regardless of backend.
     """
 
     __slots__ = ("spec",)
@@ -1566,11 +1579,26 @@ class CompiledCodec:
     def __init__(self, spec):
         self.spec = spec
 
+    def count_classes(self, classes, options, seen=None):
+        return _count_classes(classes, options, seen)
+
+    def encode_classes(self, classes, options, coders, streams):
+        _encode_classes(classes, options, coders, streams)
+
+    def iter_decode_classes(self, count, options, coders, reader,
+                            interner):
+        """One decoded class at a time (see
+        :func:`_iter_decode_classes`; ``count=None`` decodes an
+        archive).  Span-free: a span held open across yields would
+        corrupt the trace tree."""
+        return _iter_decode_classes(options, coders, reader, interner,
+                                    count)
+
     def count_references(self, archive, options, coders=None,
                          seen=None):
         with observe.current().span("count",
                                     classes=len(archive.classes)):
-            counts = _count_archive(archive, options, seen)
+            counts = _count_classes(archive.classes, options, seen)
             if coders is not None:
                 for space, coder in coders.items():
                     if coder.needs_frequencies:
@@ -1585,7 +1613,8 @@ class CompiledCodec:
 
     def decode_archive(self, options, coders, reader, interner):
         with observe.current().span("decode"):
-            return _decode_archive(options, coders, reader, interner)
+            return ir.Archive(list(_iter_decode_classes(
+                options, coders, reader, interner)))
 
     def measure_archive(self, archive, options, coders, streams,
                         layout):
@@ -1594,12 +1623,6 @@ class CompiledCodec:
         under ``observe.silenced()`` inside the count phase."""
         _encode_archive(archive, options, coders, streams,
                         layout=layout)
-
-    def iter_decode(self, options, coders, reader, interner):
-        """One decoded class at a time (see
-        :func:`_iter_decode_archive`).  Span-free: a span held open
-        across yields would corrupt the trace tree."""
-        return _iter_decode_archive(options, coders, reader, interner)
 
 
 _COMPILED: Dict[int, CompiledCodec] = {}

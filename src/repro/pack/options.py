@@ -11,6 +11,14 @@ from typing import Optional
 #: reference drivers in :mod:`repro.pack.codec_core.driver`.
 CODEC_BACKENDS = ("interpreted", "compiled")
 
+#: Fields that choose how a pack *runs*, never the bytes it emits.
+#: Every byte- or key-shaped record of the options (the result-cache
+#: key, the delta container's options record) leaves them out, so a
+#: request's backend or budget can never decide which bytes a key
+#: names.  ``seed`` is performance-only as well but still travels in
+#: both records until the options are split by kind (ROADMAP item 4).
+EXECUTION_ONLY_FIELDS = ("codec_backend", "memory_budget")
+
 #: Pseudo-scheme: score the Table-3 scheme matrix with the count
 #: driver (a no-bytes dry run) and pack with the predicted winner,
 #: recording the choice in the archive header.  Resolved to a concrete

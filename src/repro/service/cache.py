@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..pack import wire
-from ..pack.options import PackOptions
+from ..pack.options import EXECUTION_ONLY_FIELDS, PackOptions
 
 #: Version tag folded into every key so a cache-layout change can bump
 #: it and orphan the old entries instead of serving them.  The wire
@@ -67,20 +67,17 @@ def canonical_options(options: PackOptions,
                       eager: bool = False) -> str:
     """A stable, human-auditable serialization of everything that may
     change the packed bytes."""
-    fields = dataclasses.asdict(options)
-    # The codec backend selects *how* the spec runs, not what it
+    # The execution-only fields select *how* a pack runs, not what it
     # emits: interpreted and compiled archives are byte-identical
-    # (enforced by the lockstep tests), so the backend must not split
-    # the cache — a compiled pack should serve interpreted requests.
+    # (the lockstep tests), and so are spilled and in-memory ones
+    # (tests/test_spool), so neither may split the cache.
     # ``scheme="auto"`` is the opposite case and stays in the key:
     # selection is deterministic, but auto output differs byte-wise
     # from the same archive packed with the winning scheme explicitly
     # (the header records the choice), so they must not share entries.
-    fields.pop("codec_backend", None)
-    # Same reasoning for the memory budget: spill-to-disk packing is
-    # byte-identical to in-memory packing (pinned by tests/test_spool),
-    # so a bounded pack must serve unbounded requests and vice versa.
-    fields.pop("memory_budget", None)
+    fields = {name: value
+              for name, value in dataclasses.asdict(options).items()
+              if name not in EXECUTION_ONLY_FIELDS}
     fields["strip"] = strip
     fields["eager"] = eager
     return json.dumps(fields, sort_keys=True, separators=(",", ":"))

@@ -18,22 +18,35 @@ import urllib.request
 import pytest
 
 from repro.cli import main as cli_main
+from repro.coding.streams import StreamReader, StreamSet, concat_streams
+from repro.delta.diff import replay_coders
 from repro.errors import ReproError
 from repro.ir.build import build_archive
+from repro.ir.model import Interner
 from repro.pack import (
     PackOptions,
     archives_equal,
     pack_archive,
     unpack_archive,
+    wire,
 )
 from repro.pack.codec_core import (
+    DECODE,
+    CountDriver,
+    DecodeDriver,
+    EncodeDriver,
+    class_definition,
     compiled_codec,
+    count_classes,
     count_references,
     current_spec,
+    decode_classes,
+    encode_classes,
     make_space_coders,
     spec_for_version,
 )
 from repro.pack.options import CODEC_BACKENDS
+from repro.pack.preload import preload_objects
 from repro.service import BatchEngine, PackService
 
 from make_golden import FIXTURE_DIR, golden_corpus, golden_variants
@@ -122,6 +135,78 @@ class TestLockstep:
         for name in shared:
             assert counters["interpreted"].get(name, 0) == \
                 counters["compiled"].get(name, 0), name
+
+
+def _seen(options):
+    """First-occurrence sets seeded as the compressor seeds them."""
+    seen = {space: set() for space in wire.SPACES}
+    if options.preload:
+        for space, values in preload_objects(Interner()).items():
+            seen[space].update(values)
+    return seen
+
+
+class TestClassSequences:
+    """The class-sequence entry points (``count_classes``,
+    ``encode_classes``, ``decode_classes``) on both backends against
+    the interpreted ``class_definition`` walk, one call per class: the
+    same counts, the same streams created in the same order with the
+    same bytes, and the same decoded classes."""
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_sequence_equals_class_definition_walk(self, name, corpus):
+        classes = build_archive(corpus).classes
+        reference = _backend(VARIANTS[name], "interpreted")
+        counter = CountDriver(reference, seen=_seen(reference))
+        for definition in classes:
+            class_definition(counter, definition)
+        expected = StreamSet()
+        encoder = EncodeDriver(reference,
+                               replay_coders(reference, counter.counts),
+                               expected)
+        for definition in classes:
+            class_definition(encoder, definition)
+        expected_streams = [(stream, expected.stream(stream).getvalue())
+                            for stream in expected.names()]
+        interner = Interner()
+        decoder = DecodeDriver(
+            reference, replay_coders(reference, counter.counts, interner),
+            StreamReader(concat_streams(expected_streams),
+                         compressed=False), interner)
+        assert [class_definition(decoder, DECODE)
+                for _ in classes] == classes
+
+        for backend in CODEC_BACKENDS:
+            options = _backend(VARIANTS[name], backend)
+            counts = count_classes(classes, options, seen=_seen(options))
+            assert counts == counter.counts, backend
+            streams = StreamSet()
+            encode_classes(classes, options, replay_coders(options, counts),
+                           streams)
+            written = [(stream, streams.stream(stream).getvalue())
+                       for stream in streams.names()]
+            assert written == expected_streams, backend
+            interner = Interner()
+            decoded = decode_classes(
+                len(classes), options,
+                replay_coders(options, counts, interner),
+                StreamReader(concat_streams(written), compressed=False),
+                interner)
+            assert decoded == classes, backend
+
+    def test_archive_is_count_plus_sequence(self, corpus):
+        """The archive walk is the sequence walk behind its META class
+        count — nothing else on any stream."""
+        archive = build_archive(corpus)
+        for backend in CODEC_BACKENDS:
+            options = _backend(PackOptions(compress=False), backend)
+            packed = pack_archive(corpus, options)
+            sequence = StreamSet()
+            sequence.stream(wire.META).uvarint(len(archive.classes))
+            encode_classes(archive.classes, options,
+                           replay_coders(options, count_classes(
+                               archive.classes, options)), sequence)
+            assert packed[6:] == sequence.serialize(compress=False)
 
 
 class TestBackendSelection:

@@ -14,25 +14,48 @@ Silently wrong output is the one forbidden outcome.
 """
 
 import copy
+import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
 
 from make_golden import golden_corpus, golden_variants
+from make_golden_deltas import (
+    SCENARIOS,
+    load_digests,
+    scenario_corpora,
+    scenario_packs,
+)
+from repro.coding.streams import StreamSet
 from repro.delta import (
+    HASH_OPTIONS,
     HASH_PREFIX_BYTES,
+    OP_UNCHANGED,
     DeltaSummary,
     archive_manifest,
     class_fingerprint,
+    classify,
     diff_packed,
     patch_packed,
     verify_classes,
 )
+from repro.delta import diff as diff_mod
+from repro.delta.diff import prefix_counts, replay_coders
 from repro.errors import JobInputError, ReproError, UnpackError
 from repro.ir.build import build_archive
 from repro.pack import PackOptions, pack_archive, unpack_archive
+from repro.pack.codec_core import (
+    EncodeDriver,
+    class_definition,
+    encode_classes,
+    make_space_coders,
+)
+from repro.pack.options import CODEC_BACKENDS, EXECUTION_ONLY_FIELDS
 
 VARIANTS = golden_variants()
+DIGESTS = load_digests()
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +119,141 @@ class TestByteIdentity:
         assert summary.unchanged == len(corpus)
         patched, _ = patch_packed(base, delta)
         assert patched == target
+
+
+class TestGoldenDeltas:
+    """Delta bytes are pinned: ``tests/fixtures/golden/deltas.json``
+    holds the SHA-256 of every golden variant's delta in each release
+    scenario (``tests/make_golden_deltas.py``).  Both backends and a
+    memory budget must reproduce them, and each must patch back."""
+
+    def test_every_case_is_pinned(self):
+        assert set(DIGESTS) == {f"{name}/{scenario}"
+                                for name in VARIANTS
+                                for scenario in SCENARIOS}
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_digest_at_every_backend_and_budget(self, name, scenario,
+                                                corpus):
+        options = VARIANTS[name]
+        base, target = scenario_packs(corpus, options, scenario)
+        for knobs in ({"codec_backend": "compiled"},
+                      {"codec_backend": "interpreted"},
+                      {"memory_budget": 65536}):
+            delta, _ = diff_packed(base, target,
+                                   dataclasses.replace(options, **knobs))
+            assert hashlib.sha256(delta).hexdigest() == \
+                DIGESTS[f"{name}/{scenario}"], knobs
+        patched, _ = patch_packed(base, delta)
+        assert patched == target
+
+
+class TestExecutionOnlyKnobs:
+    """Regression: the options record once carried every
+    ``PackOptions`` field, so one base/target pair gave a different
+    delta per backend and per memory budget, and the gateway's delta
+    cache served whichever bytes the first request computed.
+    ``TestGoldenDeltas`` checks the bytes at each backend and budget;
+    these pin the record itself."""
+
+    def test_record_leaves_out_execution_fields(self):
+        record = json.loads(diff_mod._canonical_options(
+            PackOptions(codec_backend="interpreted", memory_budget=4096)))
+        assert not set(EXECUTION_ONLY_FIELDS) & set(record)
+        assert "seed" in record and "scheme" in record
+
+    def test_old_records_still_patch(self, monkeypatch):
+        """Containers written with the full record (backend and budget
+        included) still parse and patch; no DELTA_VERSION bump."""
+        base, target = scenario_packs(golden_corpus(), PackOptions(),
+                                      "modified")
+
+        def full_record(options):
+            return json.dumps(dataclasses.asdict(options), sort_keys=True,
+                              separators=(",", ":")).encode("utf-8")
+
+        monkeypatch.setattr(diff_mod, "_canonical_options", full_record)
+        old, _ = diff_packed(base, target,
+                             PackOptions(codec_backend="interpreted"))
+        monkeypatch.undo()
+        new, _ = diff_packed(base, target, PackOptions())
+        assert old != new
+        for delta in (old, new):
+            patched, _ = patch_packed(base, delta)
+            assert patched == target
+
+
+def _interpreted_fingerprint(definition):
+    """The fingerprint's definition on the interpreted walk: the class
+    alone through ``class_definition`` under ``HASH_OPTIONS``, streams
+    hashed in sorted name order as ``name || u32_be(len) || payload``."""
+    options = dataclasses.replace(HASH_OPTIONS,
+                                  codec_backend="interpreted")
+    streams = StreamSet()
+    class_definition(EncodeDriver(options, make_space_coders(options),
+                                  streams), definition)
+    digest = hashlib.sha256()
+    for name in sorted(streams.names()):
+        payload = streams.stream(name).getvalue()
+        digest.update(name.encode("utf-8"))
+        digest.update(len(payload).to_bytes(4, "big"))
+        digest.update(payload)
+    return digest.digest()
+
+
+class TestPrefixReplay:
+    """The replay invariant a diff no longer re-checks at run time.
+
+    A diff encodes once — the prefix, then the changed classes on the
+    same coders — and ships each stream's bytes past the length it
+    recorded in between.  It used to encode the prefix a second time
+    and compare; these tests pin, on both backends, that the recorded
+    lengths are where a standalone prefix encode ends."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_recorded_lengths_equal_standalone_prefix(self, name,
+                                                      scenario, corpus):
+        base_classes, target_classes = scenario_corpora(corpus, scenario)
+        base = build_archive(base_classes)
+        target = build_archive(target_classes)
+        plan, _ = classify(archive_manifest(base),
+                           archive_manifest(target))
+        prefix = [base.classes[index] for op, index in plan
+                  if op == OP_UNCHANGED]
+        changed = [target.classes[position]
+                   for position, (op, _) in enumerate(plan)
+                   if op != OP_UNCHANGED]
+        written = {}
+        for backend in CODEC_BACKENDS:
+            options = dataclasses.replace(VARIANTS[name],
+                                          codec_backend=backend)
+            counts = prefix_counts(prefix, options)
+            coders = replay_coders(options, counts)
+            streams = StreamSet()
+            encode_classes(prefix, options, coders, streams)
+            head = streams.raw_sizes()
+            encode_classes(changed, options, coders, streams)
+            alone = StreamSet()
+            encode_classes(prefix, options,
+                           replay_coders(options, counts), alone)
+            assert head == alone.raw_sizes(), backend
+            for stream in alone.names():
+                assert streams.stream(stream).getvalue()[:head[stream]] \
+                    == alone.stream(stream).getvalue(), (backend, stream)
+            written[backend] = [(stream, streams.stream(stream).getvalue())
+                                for stream in streams.names()]
+        assert written["compiled"] == written["interpreted"]
+
+    def test_compiled_fingerprint_equals_interpreted(self, corpus):
+        assert HASH_OPTIONS.codec_backend == "compiled"
+        classes = build_archive(corpus).classes + \
+            build_archive([_mutated(c) for c in corpus]).classes
+        for definition in classes:
+            assert class_fingerprint(definition) == \
+                _interpreted_fingerprint(definition), \
+                definition.this_class.internal_name
 
 
 class TestManifest:
@@ -224,6 +382,26 @@ class TestObservability:
         histograms = recorder.metrics.histograms
         assert "delta.patch_ms" in histograms
         assert "delta.ratio_pct" in histograms
+
+    def test_delta_traces_show_their_layers(self, corpus):
+        from repro import observe
+
+        options = PackOptions()
+        base = pack_archive(corpus[:4], options)
+        target = pack_archive(corpus, options)
+        with observe.recording() as recorder:
+            delta, _ = diff_packed(base, target, options)
+            patch_packed(base, delta)
+        diff = recorder.trace.find("delta.diff")
+        assert [span.name for span in diff.children] == [
+            "inflate", "decode", "inflate", "decode", "delta.manifest",
+            "count", "encode", "serialize"]
+        patch = recorder.trace.find("delta.patch")
+        assert [span.name for span in patch.children] == [
+            "inflate", "decode", "count", "encode", "decode", "verify"]
+        verify = patch.children[-1]
+        assert [span.name for span in verify.children] == [
+            "delta.manifest", "count", "encode", "serialize"]
 
 
 class TestCli:

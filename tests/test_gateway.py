@@ -364,6 +364,34 @@ class TestReleaseChainDelta:
         assert response.headers["X-Repro-Delta-Base"] == key_v1
         response.read()
 
+    def test_backend_param_does_not_change_delta_bodies(
+            self, golden_classes):
+        """Regression: the delta container recorded the request's
+        codec backend, and the delta cache is keyed on pack keys,
+        which drop it — so the first request's ``backend=`` decided
+        the bytes a key served.  Two fresh gateways, requests that
+        differ only in ``backend=``, must return the same body."""
+        v1 = dict(golden_classes)
+        v2 = dict(golden_classes)
+        del v2[sorted(v2)[0]]
+        jar_v1 = make_jar(sorted(v1.items()))
+        jar_v2 = make_jar(sorted(v2.items()))
+        bodies = []
+        for query in ("?backend=compiled", "?backend=interpreted"):
+            engine = BatchEngine(workers=0, cache=ShardedResultCache())
+            try:
+                with AsyncGateway(engine, port=0) as gw:
+                    gw.start_background()
+                    key_v1 = _post(gw, "/pack" + query, jar_v1) \
+                        .headers["X-Repro-Key"]
+                    response = _post(gw, "/delta" + query, jar_v2,
+                                     headers={"X-Repro-Have": key_v1})
+                    assert response.headers["X-Repro-Served"] == "delta"
+                    bodies.append(response.read())
+            finally:
+                engine.close()
+        assert bodies[0] == bodies[1]
+
 
 class TestHardening:
     def test_traversal_pack_get_is_404(self, tmp_path, jar_bytes):
