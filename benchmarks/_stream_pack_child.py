@@ -10,8 +10,7 @@ for every mode; see ``docs/PERFORMANCE.md``).
 Two phase measurements come out:
 
 * ``codec_peak_kb`` — peak traced allocation across the count and
-  encode passes (stream writers, coder state, and on the budgeted
-  path the layout sizing sub-pass);
+  encode passes (stream writers and coder state);
 * ``serialize_delta_kb`` — peak traced allocation *growth* over the
   post-codec baseline while serializing the container.  This is the
   phase the spool layer bounds: the in-memory path materializes the
@@ -26,6 +25,9 @@ With ``--serialize-cap-bytes`` the child enforces the cap itself and
 exits with status 3 if the serialize phase allocated more — the
 "pack under a hard cap" acceptance run fails loudly, not by a parent
 comparison after the fact.
+
+The report also carries ``stream_bytes``, the raw (pre-zlib) total
+of every stream, which bounds how little a budgeted pack may spill.
 
 Prints one JSON object to stdout.
 """
@@ -111,6 +113,7 @@ def main() -> int:
         "budget_bytes": args.budget if args.mode == "stream" else None,
         "raw_bytes": raw_bytes,
         "packed_bytes": len(data),
+        "stream_bytes": sum(compressor.streams.raw_sizes().values()),
         "digest": hashlib.sha256(data).hexdigest(),
         "codec_peak_kb": codec_peak // 1024,
         "serialize_delta_kb": serialize_delta // 1024,

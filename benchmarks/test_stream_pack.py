@@ -1,10 +1,12 @@
 """Memory-bounded streaming pack at scale: identity and a hard cap.
 
-The ISSUE acceptance gate for the spill-to-disk encode path: packing
-a 1000+-class shaped corpus with a ``memory_budget`` must produce
-bytes identical to the in-memory path on **both** codec backends,
-must actually spill (the budget is far below the stream total), and
-the serialize phase — where the in-memory path materializes the frame
+The acceptance gate for the spill-to-disk encode path: packing a
+1000+-class shaped corpus with a ``memory_budget`` must produce bytes
+identical to the in-memory path on **both** codec backends and must
+keep at most the budget resident — so everything of the raw stream
+total beyond the budget has to be on disk at the end.  The codec
+phases must not allocate more than the in-memory path's do, and the
+serialize phase — where the in-memory path materializes the frame
 plus both compression candidates, i.e. the whole-archive footprint —
 must stay under a hard allocation cap well below that footprint.
 
@@ -45,8 +47,8 @@ CLASSES = int(os.environ.get("REPRO_BENCH_SHAPE_CLASSES",
 #: total of the four shapes, so it exercises the widest spill.
 SHAPE = "const_heavy"
 
-#: Spool budget: far below the shape's ~1.4 MB stream total, so the
-#: plan must spill most streams, yet large enough that the run is not
+#: Spool budget: far below the shape's ~1.4 MB stream total, so most
+#: stream bytes must spill, yet large enough that the run is not
 #: dominated by flush overhead.
 BUDGET = 64 * 1024
 
@@ -96,12 +98,25 @@ def test_stream_pack_identity_under_cap():
         if run["spool"] is None:
             continue
         assert run["spool"]["spilled_streams"] > 0, key
-        assert run["spool"]["spilled_bytes"] > BUDGET, (
-            f"{key}: budget did not force a meaningful spill: "
-            f"{run['spool']}")
+        # At most BUDGET bytes are resident after every write, so the
+        # rest of the raw stream total must have been spilled.
+        assert run["spool"]["spilled_bytes"] >= \
+            run["stream_bytes"] - BUDGET, (
+                f"{key}: {run['stream_bytes']} stream bytes but only "
+                f"{run['spool']['spilled_bytes']} spilled under a "
+                f"{BUDGET}-byte budget")
         # The hard cap, re-asserted from the child's numbers (the
         # child already enforced it with exit status 3).
         assert run["serialize_delta_kb"] * 1024 <= SERIALIZE_CAP, key
+
+    for backend in ("compiled", "interpreted"):
+        # Bounding the streams must not cost codec-phase memory: the
+        # budgeted count and encode allocate no more than in-memory.
+        full = results[f"full/{backend}"]
+        stream = results[f"stream/{backend}"]
+        assert stream["codec_peak_kb"] <= full["codec_peak_kb"], (
+            f"{backend}: budgeted codec peak {stream['codec_peak_kb']}K "
+            f"over in-memory {full['codec_peak_kb']}K")
 
     full = results["full/compiled"]
     stream = results["stream/compiled"]
@@ -115,7 +130,8 @@ def test_stream_pack_identity_under_cap():
                 f"vs budgeted {stream['serialize_delta_kb']}K: cap "
                 "no longer sits well below the in-memory footprint")
 
-    rows = [[key, run["packed_bytes"], run["codec_peak_kb"],
+    rows = [[key, run["packed_bytes"], run["stream_bytes"],
+             run["codec_peak_kb"],
              run["serialize_delta_kb"],
              run["spool"]["spilled_bytes"] if run["spool"] else "-",
              run["ru_maxrss_kb"],
@@ -124,7 +140,7 @@ def test_stream_pack_identity_under_cap():
     print_table(
         f"streaming pack, {SHAPE} x{CLASSES} (budget {BUDGET}B, "
         f"cap {SERIALIZE_CAP}B)",
-        ["run", "packed B", "codec peak K", "ser delta K",
+        ["run", "packed B", "stream B", "codec peak K", "ser delta K",
          "spilled B", "maxrss K", "pack t"],
         rows)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from ..classfile.opcodes import OPCODES
 from ..ir.model import IRInstruction
-from ..observe.recorder import current as _observe_current
 from .stack_state import StackTracker
 
 #: mnemonic -> opcode value.
@@ -19,9 +18,9 @@ OPCODES_BY_NAME = {spec.mnemonic: opcode
 
 def apply_instruction_state(tracker: StackTracker,
                             instruction: IRInstruction,
-                            offset: int) -> None:
-    """Update ``tracker`` across one (original, expanded) instruction."""
-    metrics = _observe_current().metrics
+                            offset: int, metrics=None) -> None:
+    """Update ``tracker`` across one (original, expanded) instruction,
+    counting the step in ``metrics`` when one is given."""
     if metrics is not None:
         metrics.count("stack_state.applied")
         if not tracker.known:

@@ -25,14 +25,12 @@ from typing import Dict, Iterable, List, Tuple
 
 from ..observe import recorder as _observe
 from .varint import (
-    range_escape_count,
     read_ranged,
     read_svarint,
     read_uvarint,
     write_ranged,
     write_svarint,
     write_uvarint,
-    zigzag,
 )
 
 
@@ -115,88 +113,6 @@ class StreamWriter:
 
     def getvalue(self) -> bytes:
         return bytes(self.buf)
-
-
-class SizingStream:
-    """A write-shaped stream that counts bytes instead of storing them.
-
-    Speaks both the :class:`StreamWriter` vocabulary (``u8`` /
-    ``uvarint`` / ``svarint`` / ``ranged`` / ``raw``) and the raw
-    ``bytearray`` surface the compiled codec writes through
-    (``append`` / ``extend`` via the ``buf`` property, which returns
-    the sizing stream itself).  The counted sizes are byte-exact
-    against a real encode: varint and range widths follow
-    :mod:`repro.coding.varint` precisely.  This is the port behind the
-    layout sizing sub-pass that prices per-class stream offsets for
-    the spill planner without materializing a single payload byte.
-    """
-
-    __slots__ = ("name", "size")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.size = 0
-
-    @property
-    def buf(self) -> "SizingStream":
-        return self
-
-    def __len__(self) -> int:
-        return self.size
-
-    def append(self, value: int) -> None:
-        if not 0 <= value <= 0xFF:
-            raise ValueError(f"byte out of range: {value}")
-        self.size += 1
-
-    def extend(self, data) -> None:
-        self.size += len(data)
-
-    def u8(self, value: int) -> None:
-        if not 0 <= value <= 0xFF:
-            raise ValueError(f"u8 out of range: {value}")
-        self.size += 1
-
-    def uvarint(self, value: int) -> None:
-        if value < 0:
-            raise ValueError(f"uvarint requires a non-negative value: {value}")
-        width = 1
-        while value >= 0x80:
-            value >>= 7
-            width += 1
-        self.size += width
-
-    def svarint(self, value: int) -> None:
-        self.uvarint(zigzag(value))
-
-    def ranged(self, value: int, n: int) -> None:
-        if not 0 <= value < n:
-            raise ValueError(f"value {value} outside range 0..{n - 1}")
-        threshold = 256 - range_escape_count(n)
-        self.size += 1 if value < threshold else 2
-
-    def raw(self, data: bytes) -> None:
-        self.size += len(data)
-
-
-class SizingStreamSet(StreamPort):
-    """A stream port whose streams only measure — nothing is stored."""
-
-    def __init__(self):
-        self._streams: Dict[str, SizingStream] = {}
-
-    def stream(self, name: str) -> SizingStream:
-        writer = self._streams.get(name)
-        if writer is None:
-            writer = SizingStream(name)
-            self._streams[name] = writer
-        return writer
-
-    def names(self) -> List[str]:
-        return list(self._streams)
-
-    def raw_sizes(self) -> Dict[str, int]:
-        return {name: w.size for name, w in self._streams.items()}
 
 
 class StreamCursor:

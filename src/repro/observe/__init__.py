@@ -42,7 +42,6 @@ from .recorder import (
     enabled,
     install,
     recording,
-    silenced,
     uninstall,
 )
 from .report import HISTOGRAM_FIELDS, SCHEMA, dump_json, to_json
@@ -66,7 +65,6 @@ __all__ = [
     "install",
     "profile",
     "recording",
-    "silenced",
     "to_json",
     "uninstall",
 ]

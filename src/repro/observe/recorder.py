@@ -100,24 +100,6 @@ def uninstall() -> None:
 
 
 @contextmanager
-def silenced() -> Iterator[None]:
-    """Suppress the ambient recorder for the duration of a block.
-
-    Internal dry runs (the layout sizing sub-pass re-encodes the
-    archive against a byte-counting port) must not pollute the live
-    trace or double-count metrics; they run under ``silenced()`` so
-    any coders they construct capture the null recorder.
-    """
-    global _current
-    previous = _current
-    _current = NULL_RECORDER
-    try:
-        yield
-    finally:
-        _current = previous
-
-
-@contextmanager
 def recording(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
     """Install a recorder for the duration of a ``with`` block.
 

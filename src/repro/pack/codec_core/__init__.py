@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from ...coding.streams import SizingStreamSet, StreamReader, StreamSet
+from ...coding.streams import StreamReader, StreamSet
 from ...ir import model as ir
 from ...observe import recorder as observe
 from .. import wire
@@ -123,7 +123,6 @@ def count_references(
         probe: Optional[Probe] = None,
         trace=None,
         spec: Optional[WireSpec] = None,
-        layout=None,
 ) -> Dict[str, Dict[Tuple[str, Hashable], int]]:
     """Counting pass: per-space ``(kind, key)`` reference totals.
 
@@ -134,21 +133,12 @@ def count_references(
     reference visit (see :data:`~repro.pack.codec_core.driver.
     TraceEvent`); like probes, it hooks the spec walk itself, so
     trace-carrying calls always run interpreted.
-
-    With a ``layout`` (an :class:`~repro.pack.spool.ArchiveLayout`),
-    the pass additionally prices the upcoming encode: a sizing
-    sub-pass replays the encode walk against a byte-counting port and
-    records exact per-class per-stream offsets — the spill planner's
-    input (see :mod:`repro.pack.spool`).
     """
     spec = spec or current_spec()
     codec = _compiled_for(options, probe, spec) if trace is None else None
     if codec is not None:
-        counts = codec.count_references(archive, options, coders=coders,
-                                        seen=seen)
-        if layout is not None:
-            _measure_layout(layout, archive, options, counts, spec)
-        return counts
+        return codec.count_references(archive, options, coders=coders,
+                                      seen=seen)
     drv = CountDriver(options, seen=seen, probe=probe, trace=trace)
     with observe.current().span("count", classes=len(archive.classes)):
         spec.archive(drv, archive)
@@ -156,42 +146,7 @@ def count_references(
             for space, coder in coders.items():
                 if coder.needs_frequencies:
                     coder.set_frequencies(drv.counts[space])
-    if layout is not None:
-        _measure_layout(layout, archive, options, drv.counts, spec)
     return drv.counts
-
-
-def _measure_layout(layout, archive: ir.Archive, options: PackOptions,
-                    counts, spec: WireSpec) -> None:
-    """Size the upcoming encode without emitting a byte.
-
-    Exact per-class offsets cannot come from pure counting — reference
-    bytes depend on coder state, and freq/cache coders need the
-    frequencies that are the count's own output — so this replays the
-    encode walk against a :class:`~repro.coding.streams.SizingStreamSet`
-    with *fresh* coders (encoding mutates MTF queues; the real coders
-    must reach the encode pass untouched).  Runs under
-    :func:`~repro.observe.recorder.silenced` so the dry run neither
-    pollutes the trace nor double-counts metrics.
-    """
-    with observe.silenced():
-        coders = make_space_coders(options)
-        if options.preload:
-            from ..preload import preload_coders
-
-            preload_coders(coders, ir.Interner())
-        for space, coder in coders.items():
-            if coder.needs_frequencies:
-                coder.set_frequencies(counts[space])
-        sizing = SizingStreamSet()
-        codec = _compiled_for(options, None, spec)
-        if codec is not None:
-            codec.measure_archive(archive, options, coders, sizing,
-                                  layout)
-        else:
-            drv = EncodeDriver(options, coders, sizing, layout=layout)
-            spec.archive(drv, archive)
-        layout.finish(sizing.raw_sizes())
 
 
 def encode_archive(archive: ir.Archive, options: PackOptions, coders,

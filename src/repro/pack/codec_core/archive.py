@@ -92,18 +92,12 @@ def class_definition(drv, value):
 def class_sequence(drv, value, count):
     """``count`` classes back to back, with no count on the wire:
     ``value`` is the class list, or ``DECODE``.  The archive's body,
-    and on its own the unit :mod:`repro.delta` replays.
-
-    ``drv.class_boundary(i)`` fires after each class — a no-op on
-    every driver except the layout sizing sub-pass, which snapshots
-    per-stream offsets there (see :mod:`repro.pack.spool`).
-    """
+    and on its own the unit :mod:`repro.delta` replays."""
     decoding = value is DECODE
     classes = []
     for i in range(count):
         classes.append(class_definition(
             drv, DECODE if decoding else value[i]))
-        drv.class_boundary(i)
     return classes
 
 

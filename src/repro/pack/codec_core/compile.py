@@ -596,10 +596,8 @@ def _count_classes(classes, options, seen=None):
 
     Mirrors the interpreted walk's visit order and first-visit gating
     exactly (so ``seen`` carry-over from preloads behaves the same),
-    but skips every wire concern: no streams, no varints, no text.
-    The stack tracker only runs when a recorder is installed — its
-    sole observable effect during counting is the ``stack_state.*``
-    metrics.
+    but skips every wire concern: no streams, no varints, no text, and
+    no stack tracking — reference counts never depend on stack state.
     """
     counts: Dict[str, Dict[Tuple[str, Hashable], int]] = {
         space: {} for space in wire.SPACES}
@@ -683,10 +681,6 @@ def _count_classes(classes, options, seen=None):
             if value not in s_string:
                 s_string.add(value)
 
-    mx = observe.current().metrics
-    track = mx is not None and options.stack_state
-    applied = 0
-    unknown = 0
     plans = _PLANS
 
     for class_def in classes:
@@ -710,59 +704,24 @@ def _count_classes(classes, options, seen=None):
             for handler in code.handlers:
                 if handler.catch_type is not None:
                     cnt_class(handler.catch_type)
-            if track:
-                tracker = StackTracker()
-                offset = 0
-                for ins in code.instructions:
-                    if tracker.pending is not None:
-                        tracker.at_instruction(offset)
-                    const = ins.const
-                    if const is not None:
-                        cnt_const(const)
-                        plan = plans[ins.opcode]
+            for ins in code.instructions:
+                const = ins.const
+                if const is not None:
+                    cnt_const(const)
+                    continue
+                plan = plans[ins.opcode]
+                field_kind = plan.field_kind
+                if field_kind is not None:
+                    cnt_field(field_kind, ins.field_ref)
+                    continue
+                invoke_kind = plan.invoke_kind
+                if invoke_kind is not None:
+                    cnt_method(invoke_kind, ins.method_ref)
+                elif _OP_CLASS in plan.ops:
+                    if ins.type_ref is not None:
+                        cnt_type(ins.type_ref)
                     else:
-                        plan = plans[ins.opcode]
-                        field_kind = plan.field_kind
-                        if field_kind is not None:
-                            cnt_field(field_kind, ins.field_ref)
-                        else:
-                            invoke_kind = plan.invoke_kind
-                            if invoke_kind is not None:
-                                cnt_method(invoke_kind, ins.method_ref)
-                            elif _OP_CLASS in plan.ops:
-                                if ins.type_ref is not None:
-                                    cnt_type(ins.type_ref)
-                                else:
-                                    cnt_class(ins.class_ref)
-                    applied += 1
-                    if tracker.stack is None:
-                        unknown += 1
-                    _apply_state(tracker, plan, ins, offset)
-                    offset = _instruction_advance(plan, ins, offset)
-            else:
-                for ins in code.instructions:
-                    const = ins.const
-                    if const is not None:
-                        cnt_const(const)
-                        continue
-                    plan = plans[ins.opcode]
-                    field_kind = plan.field_kind
-                    if field_kind is not None:
-                        cnt_field(field_kind, ins.field_ref)
-                        continue
-                    invoke_kind = plan.invoke_kind
-                    if invoke_kind is not None:
-                        cnt_method(invoke_kind, ins.method_ref)
-                    elif _OP_CLASS in plan.ops:
-                        if ins.type_ref is not None:
-                            cnt_type(ins.type_ref)
-                        else:
-                            cnt_class(ins.class_ref)
-    if track:
-        if applied > 0:
-            mx.count("stack_state.applied", applied)
-        if unknown > 0:
-            mx.count("stack_state.unknown", unknown)
+                        cnt_class(ins.class_ref)
     return counts
 
 
@@ -774,8 +733,7 @@ _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 
 
-def _encode_classes(classes, options, coders, streams, metrics=None,
-                    layout=None):
+def _encode_classes(classes, options, coders, streams, metrics=None):
     """Write a class sequence to ``streams``, specialized: the
     interpreted :func:`~repro.pack.codec_core.archive.class_sequence`
     walk, with no class count on the wire.
@@ -789,10 +747,6 @@ def _encode_classes(classes, options, coders, streams, metrics=None,
     inlined away.  Coders and streams belong to the caller, so two
     calls on the same pair write exactly what one call over the
     concatenated sequence writes.
-
-    With a ``layout``, per-stream offsets are snapshotted after every
-    class — the sizing sub-pass runs this same walk against a
-    :class:`~repro.coding.streams.SizingStreamSet`.
     """
     use_state = options.stack_state
     mx = observe.current().metrics
@@ -1065,8 +1019,6 @@ def _encode_classes(classes, options, coders, streams, metrics=None,
                     enc_class(exception)
             if method_flags & ir.FLAG_HAS_CODE:
                 enc_code(method_def.code)
-        if layout is not None:
-            layout.snapshot(streams)
 
     if metrics is not None:
         if total_instructions > 0:
@@ -1552,12 +1504,11 @@ def _iter_decode_classes(options, coders, reader, interner, count=None):
 # ---------------------------------------------------------------------
 
 
-def _encode_archive(archive, options, coders, streams, metrics=None,
-                    layout=None):
+def _encode_archive(archive, options, coders, streams, metrics=None):
     """The archive: its class count on META, then the class sequence."""
     streams.stream(wire.META).uvarint(len(archive.classes))
     _encode_classes(archive.classes, options, coders, streams,
-                    metrics=metrics, layout=layout)
+                    metrics=metrics)
 
 
 class CompiledCodec:
@@ -1615,14 +1566,6 @@ class CompiledCodec:
         with observe.current().span("decode"):
             return ir.Archive(list(_iter_decode_classes(
                 options, coders, reader, interner)))
-
-    def measure_archive(self, archive, options, coders, streams,
-                        layout):
-        """The encode walk against a sizing port, snapshotting
-        per-class offsets into ``layout``.  Span-free: callers run it
-        under ``observe.silenced()`` inside the count phase."""
-        _encode_archive(archive, options, coders, streams,
-                        layout=layout)
 
 
 _COMPILED: Dict[int, CompiledCodec] = {}

@@ -73,6 +73,7 @@ class Driver:
                  "probe")
 
     decoding = False
+    counting = False
 
     def fail(self, message: str) -> None:
         """Abort with the mode's error type (PackError / UnpackError)."""
@@ -86,30 +87,19 @@ class Driver:
         """Record a just-built shared object (live only while
         decoding)."""
 
-    def class_boundary(self, index: int) -> None:
-        """Hook fired after each class (live only on the layout sizing
-        sub-pass, where it snapshots per-stream offsets)."""
-
 
 class EncodeDriver(Driver):
-    """Runs the spec forward: every primitive writes to its stream.
-
-    With a ``layout`` (an :class:`~repro.pack.spool.ArchiveLayout`,
-    duck-typed), every class boundary snapshots the port's per-stream
-    offsets — the sizing sub-pass drives this against a
-    :class:`~repro.coding.streams.SizingStreamSet` port.
-    """
+    """Runs the spec forward: every primitive writes to its stream."""
 
     def __init__(self, options: PackOptions, coders: Dict[str, Coder],
                  streams: StreamSet, metrics=None,
-                 probe: Optional[Probe] = None, layout=None):
+                 probe: Optional[Probe] = None):
         self.options = options
         self.coders = coders
         self.port = streams
         self.metrics = metrics
         self.probe = probe
         self.interner = None
-        self.layout = layout
 
     def uint(self, name: str, value: int) -> int:
         self.port.stream(name).uvarint(value)
@@ -147,10 +137,6 @@ class EncodeDriver(Driver):
         if self.metrics is not None:
             self.metrics.count(name)
 
-    def class_boundary(self, index: int) -> None:
-        if self.layout is not None:
-            self.layout.snapshot(self.port)
-
 
 class CountDriver(Driver):
     """Runs the spec forward against the null port, tallying how often
@@ -171,6 +157,8 @@ class CountDriver(Driver):
     """
 
     __slots__ = ("counts", "seen", "trace")
+
+    counting = True
 
     def __init__(self, options: PackOptions,
                  seen: Optional[Dict[str, Set]] = None,

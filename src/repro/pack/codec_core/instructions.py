@@ -19,6 +19,7 @@ from ...bytecode_codec.operands import OPERAND_CHANNELS
 from ...bytecode_codec.stack_state import StackTracker
 from ...classfile.opcodes import OPCODES
 from ...ir import model as ir
+from ...observe import recorder as observe
 from .. import wire
 from .constructs import CLASS_REF, CONST, FIELD_REF, METHOD_REF, TYPE_REF
 from .layout import ir_instruction_size
@@ -203,6 +204,9 @@ def code_body(drv, value):
                 for i in range(n_handlers)]
     tracker = StackTracker()
     use_state = drv.options.stack_state
+    # Stack-state work is reported by the encode and decode passes; the
+    # count pass tracks the same instructions and reports nothing.
+    metrics = None if drv.counting else observe.current().metrics
     instructions = []
     offset = 0
     for i in range(n_instructions):
@@ -211,7 +215,7 @@ def code_body(drv, value):
         ins = instruction(drv, tracker, offset, use_state,
                           DECODE if decoding else value.instructions[i])
         if use_state:
-            apply_instruction_state(tracker, ins, offset)
+            apply_instruction_state(tracker, ins, offset, metrics)
         offset += ir_instruction_size(ins, offset)
         instructions.append(ins)
     if decoding:

@@ -21,7 +21,7 @@ from ..ir import model as ir
 from ..observe import recorder as observe
 from . import codec_core, wire
 from .options import AUTO_SCHEME, PackOptions
-from .spool import ArchiveLayout, SpoolStreamSet, plan_windows
+from .spool import SpoolStreamSet
 
 __all__ = ["Compressor", "PackError", "SPACES", "pack_archive_ir"]
 
@@ -43,9 +43,6 @@ class Compressor:
         #: options when ``--scheme=auto`` chose them (set by
         #: :func:`pack_archive_ir`); None for explicit schemes.
         self.selection = None
-        #: Per-class per-stream offsets from the count pass's sizing
-        #: sub-pass; populated only on the memory-budgeted path.
-        self.layout = None
         if self.options.memory_budget is not None:
             self.streams = SpoolStreamSet(self.options.memory_budget)
         else:
@@ -69,24 +66,11 @@ class Compressor:
                                                       self.options)
 
     def _run_codec(self, archive: ir.Archive) -> None:
-        """Count then encode, planning spill windows in between.
-
-        On the memory-budgeted path, the count pass additionally runs
-        the layout sizing sub-pass: exact per-class per-stream offsets
-        feed :func:`~repro.pack.spool.plan_windows` before the encode
-        pass creates any stream.
-        """
-        layout = None
-        if self.options.memory_budget is not None:
-            layout = ArchiveLayout()
+        """Count then encode.  On the memory-budgeted path the spool
+        streams bound their own residency as the encode writes."""
         codec_core.count_references(archive, self.options,
                                     coders=self._coders,
-                                    seen=self._count_seen,
-                                    layout=layout)
-        if layout is not None:
-            self.layout = layout
-            self.streams.set_plan(plan_windows(
-                layout.stream_sizes, self.options.memory_budget))
+                                    seen=self._count_seen)
         codec_core.encode_archive(archive, self.options, self._coders,
                                   self.streams, metrics=self._metrics)
 

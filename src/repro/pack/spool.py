@@ -1,16 +1,13 @@
 """Spill-to-disk stream writing for memory-bounded packing.
 
-The paper's encoder is two-pass by construction: the count pass sizes
-every stream before a byte is emitted.  This module exploits that
-structure to bound encode-side memory.  A :class:`SpoolStreamSet` is a
-drop-in :class:`~repro.coding.streams.StreamSet` whose streams keep a
-bounded in-memory window and spill overflow to anonymous temp files;
-:func:`plan_windows` turns the count pass's exact per-stream sizes
-(measured by :class:`ArchiveLayout` against a
-:class:`~repro.coding.streams.SizingStreamSet`) into a window
-allocation that keeps small streams fully resident and splits the
-remaining budget across the big ones.  Finalization streams the
-container out through :meth:`SpoolStreamSet.serialize_to`, which
+A :class:`SpoolStreamSet` is a drop-in
+:class:`~repro.coding.streams.StreamSet` that holds at most
+``budget_bytes`` of stream payload in memory.  Every write is charged
+to one resident count shared by all of its streams; a write that
+takes the count over the budget flushes the largest resident window
+to that stream's anonymous temp file.  Nothing is sized ahead of the
+encode pass, so the encoder runs exactly once.  Finalization streams
+the container out through :meth:`SpoolStreamSet.serialize_to`, which
 replicates :meth:`StreamSet.serialize` byte-for-byte (same frame
 layout, same whole-vs-per-stream contest, chunked
 ``zlib.compressobj`` in place of one-shot ``zlib.compress`` — Python's
@@ -27,7 +24,7 @@ import io
 import tempfile
 import zlib
 from collections.abc import Mapping, MutableMapping
-from typing import Dict, Iterator, List, Union
+from typing import Dict, Iterator, Union
 
 from ..coding.streams import StreamSet, StreamWriter
 from ..coding.varint import write_uvarint
@@ -36,27 +33,22 @@ from ..observe import recorder as _observe
 #: Read/write granularity for spill files.
 SPOOL_CHUNK = 64 * 1024
 
-#: Smallest useful per-stream window: below this the per-byte flush
-#: overhead swamps any memory saving.
-MIN_WINDOW = 256
-
 
 class SpoolBuffer:
-    """A ``bytearray``-shaped buffer with a bounded in-memory window.
+    """A ``bytearray``-shaped buffer whose bytes stay in a resident
+    window until its :class:`SpoolStreamSet` flushes them.
 
     Speaks exactly the surface the codec writes through (``append`` /
-    ``extend`` / ``__len__``): once the window reaches
-    ``window_bytes`` it is flushed wholesale to a lazily created
-    anonymous temp file.  Reads happen only at finalize, via
-    re-iterable :meth:`chunks`.
+    ``extend`` / ``__len__``).  Every write is charged to the set's
+    resident count; the set decides when, and which, window goes to a
+    lazily created anonymous temp file.  Reads happen only at
+    finalize, via re-iterable :meth:`chunks`.
     """
 
-    __slots__ = ("window_bytes", "_window", "_file", "_spilled")
+    __slots__ = ("_spool", "_window", "_file", "_spilled")
 
-    def __init__(self, window_bytes: int):
-        if window_bytes < 1:
-            raise ValueError(f"window must be >= 1 byte, got {window_bytes}")
-        self.window_bytes = window_bytes
+    def __init__(self, spool: "SpoolStreamSet"):
+        self._spool = spool
         self._window = bytearray()
         self._file = None
         self._spilled = 0
@@ -69,25 +61,40 @@ class SpoolBuffer:
         """Bytes flushed to disk so far."""
         return self._spilled
 
+    @property
+    def resident(self) -> int:
+        """Bytes held in memory."""
+        return len(self._window)
+
     def append(self, value: int) -> None:
         self._window.append(value)
-        if len(self._window) >= self.window_bytes:
-            self._flush()
+        spool = self._spool
+        room = spool._room - 1
+        spool._room = room
+        if room < 0:
+            spool._relieve()
 
     def extend(self, data) -> None:
         self._window.extend(data)
-        if len(self._window) >= self.window_bytes:
-            self._flush()
+        spool = self._spool
+        room = spool._room - len(data)
+        spool._room = room
+        if room < 0:
+            spool._relieve()
 
-    def _flush(self) -> None:
+    def flush(self) -> int:
+        """Move the window to the spill file; return the bytes freed."""
+        window = self._window
         if self._file is None:
             self._file = tempfile.TemporaryFile(prefix="repro-spool-")
         else:
             # chunks() may have moved the file position; spill appends.
             self._file.seek(0, io.SEEK_END)
-        self._file.write(self._window)
-        self._spilled += len(self._window)
-        del self._window[:]
+        self._file.write(window)
+        freed = len(window)
+        self._spilled += freed
+        del window[:]
+        return freed
 
     def chunks(self, chunk_size: int = SPOOL_CHUNK) -> Iterator[bytes]:
         """Yield the buffered bytes in order (spilled file, then window).
@@ -115,82 +122,19 @@ class SpoolBuffer:
             self._file.close()
             self._file = None
             self._spilled = 0
+        self._spool._room += len(self._window)
         del self._window[:]
 
 
 class SpoolStreamWriter(StreamWriter):
     """A :class:`StreamWriter` backed by a :class:`SpoolBuffer`."""
 
-    def __init__(self, name: str, window_bytes: int):
+    def __init__(self, name: str, spool: "SpoolStreamSet"):
         self.name = name
-        self.buf = SpoolBuffer(window_bytes)
+        self.buf = SpoolBuffer(spool)
 
     def getvalue(self) -> bytes:
         return self.buf.getvalue()
-
-
-def plan_windows(stream_sizes: Mapping[str, int],
-                 budget: int,
-                 min_window: int = MIN_WINDOW) -> Dict[str, int]:
-    """Allocate per-stream windows from exact sizes (water-filling).
-
-    Streams are visited smallest first; each takes the lesser of its
-    full size (plus one byte — the flush trigger is ``>=``, so a
-    window equal to the exact size would still spill) and an even
-    share of the budget left for the streams not yet placed.  Small
-    streams therefore stay fully resident and only the big ones
-    spill.  Every window gets at least ``min_window`` bytes, so a
-    pathological budget degrades to slow-but-correct, never to
-    failure.
-    """
-    windows: Dict[str, int] = {}
-    remaining = budget
-    names = sorted(stream_sizes, key=lambda n: (stream_sizes[n], n))
-    left = len(names)
-    for name in names:
-        share = max(min_window, remaining // left)
-        window = max(min_window, min(stream_sizes[name] + 1, share))
-        windows[name] = window
-        remaining -= window
-        left -= 1
-    return windows
-
-
-class ArchiveLayout:
-    """Per-class per-stream offsets recorded by the count pass.
-
-    The sizing sub-pass (see
-    :func:`repro.pack.codec_core.count_references`) replays the encode
-    walk against a byte-counting port and calls :meth:`snapshot` at
-    every class boundary; ``class_offsets[i][name]`` is the exact byte
-    offset of stream ``name`` after class ``i`` has been encoded, and
-    :attr:`stream_sizes` holds the final totals the spill planner
-    feeds to :func:`plan_windows`.
-    """
-
-    __slots__ = ("class_offsets", "stream_sizes")
-
-    def __init__(self):
-        self.class_offsets: List[Dict[str, int]] = []
-        self.stream_sizes: Dict[str, int] = {}
-
-    def snapshot(self, streams) -> None:
-        self.class_offsets.append(streams.raw_sizes())
-
-    def finish(self, stream_sizes: Mapping[str, int]) -> None:
-        self.stream_sizes = dict(stream_sizes)
-
-    @property
-    def class_count(self) -> int:
-        return len(self.class_offsets)
-
-    def class_stream_bytes(self, index: int) -> Dict[str, int]:
-        """Bytes each stream grew by while encoding class ``index``."""
-        after = self.class_offsets[index]
-        before = self.class_offsets[index - 1] if index else {}
-        return {name: size - before.get(name, 0)
-                for name, size in after.items()
-                if size - before.get(name, 0)}
 
 
 def _copy_file(src, dst, length: int, chunk_size: int = SPOOL_CHUNK) -> None:
@@ -205,39 +149,44 @@ def _copy_file(src, dst, length: int, chunk_size: int = SPOOL_CHUNK) -> None:
 
 
 class SpoolStreamSet(StreamSet):
-    """A :class:`StreamSet` with bounded-memory streams.
+    """A :class:`StreamSet` that holds at most ``budget_bytes`` of
+    stream payload in memory.
 
-    Construct with the archive-wide ``budget_bytes``; optionally
-    install a per-stream window plan (from :func:`plan_windows`, fed
-    by the count pass's layout) via :meth:`set_plan` *before* the
-    encode pass touches any stream.  Serialization is byte-identical
-    to the in-memory path — pinned by the golden fixtures and
-    ``tests/test_spool.py``.
+    A write that takes the resident count over the budget flushes the
+    largest resident window.  The window just written holds at least
+    the bytes that went over, so the largest one does too, and one
+    flush brings the count back within budget: after every write,
+    resident bytes are at most ``budget_bytes``.  Largest-first also
+    keeps small streams resident: at an overflow some window holds
+    more than ``budget_bytes`` over the stream count, so a stream that
+    never grows past that share is never flushed.  Serialization is
+    byte-identical to the in-memory path — pinned by the golden
+    fixtures and ``tests/test_spool.py``.
     """
 
-    def __init__(self, budget_bytes: int, min_window: int = MIN_WINDOW):
+    def __init__(self, budget_bytes: int):
         super().__init__()
         if budget_bytes < 1:
             raise ValueError(f"memory budget must be >= 1, got {budget_bytes}")
         self.budget_bytes = budget_bytes
-        self.min_window = min_window
-        self._plan: Dict[str, int] = {}
-        # Streams created before (or outside) a plan share the budget
-        # pessimistically; the paper's format uses a few dozen streams.
-        self._default_window = max(min_window, budget_bytes // 64)
+        # The budget minus the resident bytes; each SpoolBuffer write
+        # spends it, and a write that overdraws it calls _relieve().
+        self._room = budget_bytes
 
-    def set_plan(self, plan: Mapping[str, int]) -> None:
-        """Install per-stream windows.  Affects streams created later."""
-        self._plan = dict(plan)
+    @property
+    def resident(self) -> int:
+        """Stream bytes held in memory, over all streams."""
+        return self.budget_bytes - self._room
 
-    def window_for(self, name: str) -> int:
-        return max(self.min_window,
-                   self._plan.get(name, self._default_window))
+    def _relieve(self) -> None:
+        largest = max((writer.buf for writer in self._streams.values()),
+                      key=lambda buf: buf.resident)
+        self._room += largest.flush()
 
     def stream(self, name: str) -> SpoolStreamWriter:
         writer = self._streams.get(name)
         if writer is None:
-            writer = SpoolStreamWriter(name, self.window_for(name))
+            writer = SpoolStreamWriter(name, self)
             self._streams[name] = writer
         return writer
 

@@ -136,6 +136,34 @@ class TestLockstep:
             assert counters["interpreted"].get(name, 0) == \
                 counters["compiled"].get(name, 0), name
 
+    @pytest.mark.parametrize("backend", CODEC_BACKENDS)
+    def test_stack_state_counted_once(self, corpus, backend):
+        """A traced pack reports one stack-state step per instruction:
+        the encode pass reports its tracking, the count pass none."""
+        from repro import observe
+
+        with observe.recording() as recorder:
+            pack_archive(corpus, PackOptions(codec_backend=backend))
+        counters = recorder.metrics.counters
+        assert counters["stack_state.applied"] == \
+            counters["bytecode.instructions"] > 0
+
+    @pytest.mark.parametrize("backend", CODEC_BACKENDS)
+    def test_count_pass_same_under_recorder(self, corpus, backend):
+        """Recording changes neither what the count pass returns nor
+        the work it reports: no ``stack_state.*`` from counting."""
+        from repro import observe
+
+        archive = build_archive(corpus)
+        for options in VARIANTS.values():
+            options = _backend(options, backend)
+            untraced = count_references(archive, options)
+            with observe.recording() as recorder:
+                traced = count_references(archive, options)
+            assert traced == untraced
+            assert not [name for name in recorder.metrics.counters
+                        if name.startswith("stack_state.")]
+
 
 def _seen(options):
     """First-occurrence sets seeded as the compressor seeds them."""

@@ -1,6 +1,8 @@
 """Tests for the observability layer (repro.observe)."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -259,3 +261,53 @@ class TestRoundtripUnderObservation:
         with observe.recording():
             observed = pack_archive(classfiles)
         assert observed == baseline
+
+
+class TestConcurrentPacks:
+    def test_budgeted_packs_leave_recorder_installed(self):
+        """Two budgeted packs on two threads, as a server runs them
+        with ``workers=0``, must never swap the process's recorder: a
+        poller sees only the installed one, and it is still installed
+        afterwards.  Budgeted packs once ran a sizing replay that
+        swapped in the null recorder and restored whatever it had
+        found, so overlapping packs could leave the null recorder
+        installed for good."""
+        from repro.corpus import generate_shape
+        from repro.jar.formats import strip_classes
+
+        classes = strip_classes(generate_shape("const_heavy", classes=40))
+        ordered = [classes[name] for name in sorted(classes)]
+        options = PackOptions(memory_budget=4096)
+        expected = pack_archive(ordered)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with observe.recording() as installed:
+                seen = set()
+                results = []
+                done = threading.Event()
+
+                def poll():
+                    while not done.is_set():
+                        seen.add(id(observe.current()))
+
+                def pack_twice():
+                    for _ in range(2):
+                        results.append(pack_archive(ordered, options))
+
+                poller = threading.Thread(target=poll)
+                packers = [threading.Thread(target=pack_twice)
+                           for _ in range(2)]
+                poller.start()
+                for thread in packers:
+                    thread.start()
+                for thread in packers:
+                    thread.join(timeout=120)
+                done.set()
+                poller.join(timeout=10)
+                assert not any(t.is_alive() for t in packers + [poller])
+                assert observe.current() is installed
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == {id(installed)}
+        assert results == [expected] * 4

@@ -1,9 +1,8 @@
-"""Tests for memory-bounded packing: spill buffers, window planning,
-the count-pass layout, streaming serialization/decoding, and the
-triage blob store.
+"""Tests for memory-bounded packing: spill buffers, the residency
+rule, streaming serialization/decoding, and the triage blob store.
 
 The load-bearing property everywhere is *byte identity*: a budgeted
-pack (any window size, either codec backend) must produce exactly the
+pack (any budget, either codec backend) must produce exactly the
 bytes of the unbounded in-memory pack.
 """
 
@@ -11,13 +10,13 @@ import io
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import compile_shapes, compile_simple, compile_sink, \
     ordered_values
 from repro.classfile.classfile import write_class
 from repro.coding.streams import StreamSet
 from repro.errors import ReproError, UnpackError
-from repro.ir.build import build_archive
 from repro.pack import (
     PackOptions,
     iter_unpack_archive,
@@ -25,16 +24,7 @@ from repro.pack import (
     pack_archive_to,
     unpack_archive,
 )
-from repro.pack.compressor import Compressor
-from repro.pack.spool import (
-    MIN_WINDOW,
-    ArchiveLayout,
-    BlobMap,
-    BlobStore,
-    SpoolBuffer,
-    SpoolStreamSet,
-    plan_windows,
-)
+from repro.pack.spool import BlobMap, BlobStore, SpoolStreamSet
 
 
 def _corpus():
@@ -45,18 +35,22 @@ def _corpus():
     return ordered_values(classes)
 
 
+def _buffer(budget):
+    return SpoolStreamSet(budget_bytes=budget).stream("s").buf
+
+
 class TestSpoolBuffer:
     def test_spills_at_window(self):
-        buf = SpoolBuffer(4)
+        buf = _buffer(3)
         buf.extend(b"abc")
         assert buf.spilled == 0
-        buf.append(ord("d"))  # reaches the window -> flush
+        buf.append(ord("d"))  # goes over the budget -> flush
         assert buf.spilled == 4
         assert len(buf) == 4
         assert buf.getvalue() == b"abcd"
 
     def test_interleaved_reads_and_writes(self):
-        buf = SpoolBuffer(2)
+        buf = _buffer(1)
         buf.extend(b"0123")
         assert buf.getvalue() == b"0123"
         # chunks() moved the spill file's position; later writes must
@@ -66,40 +60,70 @@ class TestSpoolBuffer:
         assert buf.getvalue() == b"012345"  # re-iterable
 
     def test_large_window_stays_resident(self):
-        buf = SpoolBuffer(1 << 20)
+        buf = _buffer(1 << 20)
         buf.extend(b"x" * 1000)
         assert buf.spilled == 0
         assert buf.getvalue() == b"x" * 1000
 
     def test_rejects_zero_window(self):
         with pytest.raises(ValueError):
-            SpoolBuffer(0)
+            SpoolStreamSet(budget_bytes=0)
 
     def test_close_resets(self):
-        buf = SpoolBuffer(1)
+        spool = SpoolStreamSet(budget_bytes=4)
+        buf = spool.stream("s").buf
         buf.extend(b"abcdef")
+        buf.extend(b"gh")
+        assert (buf.spilled, spool.resident) == (6, 2)
         buf.close()
         assert len(buf) == 0
+        assert spool.resident == 0
 
 
-class TestPlanWindows:
+class TestResidency:
+    """The spool's one rule: a write that takes the resident count over
+    the budget flushes the largest resident window."""
+
+    @given(budget=st.integers(min_value=1, max_value=64),
+           writes=st.lists(st.tuples(st.sampled_from("abcd"),
+                                     st.binary(max_size=40),
+                                     st.booleans()),
+                           max_size=60))
+    def test_resident_bounded_after_every_write(self, budget, writes):
+        base = StreamSet()
+        spool = SpoolStreamSet(budget_bytes=budget)
+        for name, data, bytewise in writes:
+            base.stream(name).raw(data)
+            buf = spool.stream(name).buf
+            if bytewise:
+                for value in data:
+                    buf.append(value)
+                    assert spool.resident <= budget
+            else:
+                buf.extend(data)
+            assert spool.resident <= budget
+            assert spool.resident == sum(
+                spool.stream(n).buf.resident for n in spool.names())
+        assert spool.raw_sizes() == base.raw_sizes()
+        assert spool.serialize() == base.serialize()
+        spool.close()
+
     def test_small_streams_fully_resident(self):
-        sizes = {"small": 10, "big": 10_000}
-        plan = plan_windows(sizes, budget=2048, min_window=4)
-        # The flush trigger is >=, so residency needs size + 1.
-        assert plan["small"] == 11
-        assert plan["big"] == 2048 - 11
-
-    def test_min_window_floor(self):
-        plan = plan_windows({"a": 10_000, "b": 10_000}, budget=1)
-        assert plan["a"] >= MIN_WINDOW
-        assert plan["b"] >= MIN_WINDOW
+        spool = SpoolStreamSet(budget_bytes=2048)
+        for i in range(100):
+            spool.stream("big").raw(bytes(100))
+            spool.stream("small").u8(i)
+        assert spool.stream("small").buf.spilled == 0
+        assert spool.stream("big").buf.spilled > 0
+        assert spool.spool_stats()["spilled_streams"] == 1
+        spool.close()
 
     def test_budget_covers_everything(self):
-        sizes = {f"s{i}": 100 * i for i in range(10)}
-        plan = plan_windows(sizes, budget=1 << 20)
-        for name, size in sizes.items():
-            assert plan[name] >= size + 1 or plan[name] >= MIN_WINDOW
+        spool = SpoolStreamSet(budget_bytes=1 << 20)
+        for i in range(10):
+            spool.stream(f"s{i}").raw(bytes(100 * i))
+        assert spool.spool_stats()["spilled_bytes"] == 0
+        assert spool.resident == 4500
 
 
 def _fill(streams):
@@ -112,14 +136,12 @@ def _fill(streams):
 
 
 class TestSerializeIdentity:
-    @pytest.mark.parametrize("window", [1, 3, 17, 1 << 20])
+    @pytest.mark.parametrize("budget", [1, 3, 17, 1 << 20])
     @pytest.mark.parametrize("compress", [True, False])
-    def test_matches_in_memory(self, window, compress):
+    def test_matches_in_memory(self, budget, compress):
         base = StreamSet()
         _fill(base)
-        spool = SpoolStreamSet(budget_bytes=max(window, 1))
-        spool.set_plan({name: window for name in
-                        ("a", "b", "c", "incompressible")})
+        spool = SpoolStreamSet(budget_bytes=budget)
         _fill(spool)
         expected = base.serialize(compress=compress)
         assert spool.serialize(compress=compress) == expected
@@ -132,47 +154,17 @@ class TestSerializeIdentity:
         base = StreamSet()
         _fill(base)
         spool = SpoolStreamSet(budget_bytes=1)
-        spool.set_plan({name: 1 for name in
-                        ("a", "b", "c", "incompressible")})
         _fill(spool)
         assert spool.compressed_sizes() == base.compressed_sizes()
         assert spool.raw_sizes() == base.raw_sizes()
 
     def test_spool_stats_report_spills(self):
-        spool = SpoolStreamSet(budget_bytes=1)
-        spool.set_plan({"b": 2})
+        spool = SpoolStreamSet(budget_bytes=64)
         _fill(spool)
         stats = spool.spool_stats()
         assert stats["spilled_streams"] >= 1
         assert stats["spilled_bytes"] > 0
         spool.close()
-
-
-class TestArchiveLayout:
-    def test_offsets_match_actual_encode(self):
-        ordered = _corpus()
-        archive = build_archive(ordered)
-        options = PackOptions(memory_budget=256).validate()
-        compressor = Compressor(options)
-        compressor.pack(archive)
-        layout = compressor.layout
-        assert layout is not None
-        assert layout.class_count == len(ordered)
-        # The sizing sub-pass's final totals are exactly the sizes the
-        # real encode pass produced.
-        assert layout.stream_sizes == compressor.streams.raw_sizes()
-        # Offsets are cumulative: the last snapshot is the totals (for
-        # streams the codec writes during class encoding; header
-        # streams written before/after class bodies may differ).
-        last = layout.class_offsets[-1]
-        for name, size in last.items():
-            assert size <= layout.stream_sizes[name]
-        # Per-class deltas sum back to the last snapshot.
-        summed = {}
-        for index in range(layout.class_count):
-            for name, grew in layout.class_stream_bytes(index).items():
-                summed[name] = summed.get(name, 0) + grew
-        assert summed == {n: s for n, s in last.items() if s}
 
 
 class TestBudgetedPackIdentity:
@@ -182,7 +174,7 @@ class TestBudgetedPackIdentity:
         ordered = _corpus()
         base = PackOptions(scheme=scheme, codec_backend=backend)
         expected = pack_archive(ordered, base)
-        for budget in (1, 512, 1 << 24):
+        for budget in (1, 512, 1 << 16, 1 << 24):
             budgeted = PackOptions(scheme=scheme, codec_backend=backend,
                                    memory_budget=budget)
             assert pack_archive(ordered, budgeted) == expected, \

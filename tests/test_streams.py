@@ -3,13 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.coding.streams import (
-    SizingStream,
-    SizingStreamSet,
-    StreamReader,
-    StreamSet,
-    concat_streams,
-)
+from repro.coding.streams import StreamReader, StreamSet, concat_streams
 from repro.pack.spool import SpoolStreamSet
 
 
@@ -124,33 +118,36 @@ def _read_battery(reader):
 
 
 class TestAdversarialChunking:
-    """The reader must be agnostic to how the writer chunked: a
-    one-byte spool window puts a flush boundary inside every multibyte
-    varint and every raw payload."""
+    """The reader must be agnostic to how the writer chunked: spool
+    budgets of a few bytes put flush boundaries inside multibyte
+    varints and raw payloads."""
 
-    @pytest.mark.parametrize("window", [1, 2, 3, 5])
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5])
     @pytest.mark.parametrize("compress", [True, False])
-    def test_boundary_straddling_values(self, window, compress):
-        spool = SpoolStreamSet(budget_bytes=1, min_window=1)
-        spool.set_plan({"varints": window, "mixed": window})
+    def test_boundary_straddling_values(self, budget, compress):
+        spool = SpoolStreamSet(budget_bytes=budget)
         _write_battery(spool)
         assert spool.spool_stats()["spilled_streams"] == 2
         data = spool.serialize(compress=compress)
         _read_battery(StreamReader(data, compressed=compress))
 
+    def test_flush_lands_inside_a_varint(self):
+        spool = SpoolStreamSet(budget_bytes=2)
+        spool.stream("v").uvarint(1 << 32)  # five bytes, one by one
+        buf = spool.stream("v").buf
+        assert (buf.spilled, buf.resident) == (3, 2)
+
     @pytest.mark.parametrize("compress", [True, False])
     def test_identical_to_unchunked(self, compress):
         base = StreamSet()
         _write_battery(base)
-        spool = SpoolStreamSet(budget_bytes=1, min_window=1)
-        spool.set_plan({"varints": 1, "mixed": 1})
+        spool = SpoolStreamSet(budget_bytes=1)
         _write_battery(spool)
         assert spool.serialize(compress=compress) == \
             base.serialize(compress=compress)
 
     def test_truncation_mid_spill_rejected(self):
-        spool = SpoolStreamSet(budget_bytes=1, min_window=1)
-        spool.set_plan({"varints": 1, "mixed": 1})
+        spool = SpoolStreamSet(budget_bytes=1)
         _write_battery(spool)
         data = spool.serialize(compress=False)
         for cut in (1, len(data) // 2, len(data) - 1):
@@ -161,8 +158,7 @@ class TestAdversarialChunking:
                     max_size=50))
     def test_arbitrary_varints_across_windows(self, values):
         base = StreamSet()
-        spool = SpoolStreamSet(budget_bytes=1, min_window=1)
-        spool.set_plan({"v": 1})
+        spool = SpoolStreamSet(budget_bytes=1)
         for streams in (base, spool):
             cursor = streams.stream("v")
             for value in values:
@@ -171,63 +167,6 @@ class TestAdversarialChunking:
         assert data == base.serialize(compress=False)
         cursor = StreamReader(data, compressed=False).stream("v")
         assert [cursor.uvarint() for _ in values] == values
-
-
-class TestSizingStream:
-    """The analytic byte-counting port must agree exactly with the
-    bytes a real writer produces."""
-
-    def test_sizes_match_real_writer(self):
-        real = StreamSet()
-        sizing = SizingStreamSet()
-        _write_battery(real)
-        _write_battery(sizing)
-        assert sizing.raw_sizes() == real.raw_sizes()
-        assert sorted(sizing.names()) == sorted(real.raw_sizes())
-
-    @given(st.integers(min_value=0, max_value=1 << 62))
-    def test_uvarint_width(self, value):
-        real = StreamSet()
-        real.stream("s").uvarint(value)
-        sizing = SizingStream("s")
-        sizing.uvarint(value)
-        assert sizing.size == real.raw_sizes()["s"]
-
-    @given(st.integers(min_value=-(1 << 31), max_value=1 << 31))
-    def test_svarint_width(self, value):
-        real = StreamSet()
-        real.stream("s").svarint(value)
-        sizing = SizingStream("s")
-        sizing.svarint(value)
-        assert sizing.size == real.raw_sizes()["s"]
-
-    @given(st.integers(min_value=2, max_value=2000))
-    def test_ranged_width(self, n):
-        real = StreamSet()
-        real.stream("s").ranged(n - 1, n)
-        real.stream("s").ranged(0, n)
-        sizing = SizingStream("s")
-        sizing.ranged(n - 1, n)
-        sizing.ranged(0, n)
-        assert sizing.size == real.raw_sizes()["s"]
-
-    def test_append_validates_byte_range(self):
-        sizing = SizingStream("s")
-        sizing.append(0)
-        sizing.append(255)
-        with pytest.raises(ValueError):
-            sizing.append(256)
-        with pytest.raises(ValueError):
-            sizing.append(-1)
-        assert sizing.size == 2
-
-    def test_buf_is_self(self):
-        # The codec's compiled closures write through ``stream.buf``;
-        # the sizing port exposes itself there.
-        sizing = SizingStream("s")
-        sizing.buf.extend(b"abc")
-        sizing.buf.append(1)
-        assert len(sizing) == 4
 
 
 class TestConcatStreams:
